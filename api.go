@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hfstream/internal/design"
+	"hfstream/internal/exp"
 	"hfstream/internal/sim"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
@@ -385,14 +386,14 @@ func fromSim(res *sim.Result) Result {
 // certifies simulator and partitioner correctness for that input. It is
 // RunCtx without cancellation or options.
 func Run(b Benchmark, d Design) (Result, error) {
-	return RunCtx(context.Background(), b, d)
+	return run(context.Background(), b, exp.Job{Config: d.cfg}, nil)
 }
 
 // RunSingleThreaded executes the unpartitioned loop on one core of the
 // baseline machine (the paper's Figure 9 reference). It is
 // RunSingleThreadedCtx without cancellation or options.
 func RunSingleThreaded(b Benchmark) (Result, error) {
-	return RunSingleThreadedCtx(context.Background(), b)
+	return run(context.Background(), b, exp.Job{Single: true}, nil)
 }
 
 // RunStaged partitions the benchmark into the given number of pipeline
@@ -400,8 +401,8 @@ func RunSingleThreaded(b Benchmark) (Result, error) {
 // extension of the paper's dual-core evaluation. It fails for kernels
 // whose dependence structure cannot fill the requested stages (and for
 // the hand-partitioned bzip2). Like Run, the result is verified against
-// the functional oracle. It is RunStagedCtx without cancellation or
-// options.
+// the functional oracle. A stages of 0 is the standard two-thread run,
+// as in Spec. It is RunStagedCtx without cancellation or options.
 func RunStaged(b Benchmark, d Design, stages int) (Result, error) {
-	return RunStagedCtx(context.Background(), b, d, stages)
+	return run(context.Background(), b, exp.Job{Config: d.cfg, Stages: stages}, nil)
 }

@@ -3,7 +3,7 @@
 // (wall time, simulated cycles per second, allocations per run). It is the
 // harness behind `make bench` and the BENCH_PR*.json trajectory files.
 //
-// Every run goes through the same exp.RunBenchmark path the figures use,
+// Every run goes through the same exp.Run path the figures use,
 // including oracle output verification, so the numbers reflect the real
 // hot path. The functional-interpreter oracle is warmed before timing so
 // its one-off cost never pollutes a measurement.
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -172,7 +173,7 @@ func measure(label string, list []*workloads.Benchmark, reps int) (*Report, erro
 				runtime.GC()
 				runtime.ReadMemStats(&ms0)
 				start := time.Now()
-				res, err := exp.RunBenchmark(b, cfg)
+				res, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: cfg}, exp.RunOpts{})
 				wall := time.Since(start)
 				runtime.ReadMemStats(&ms1)
 				if err != nil {

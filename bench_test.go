@@ -10,6 +10,7 @@ package hfstream
 // (who wins, by roughly what factor) are asserted in reproduce_test.go.
 
 import (
+	"context"
 	"testing"
 
 	"hfstream/internal/exp"
@@ -43,7 +44,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig6TransitDelay(b *testing.B) {
 	var bzip, geo float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig6()
+		r, err := exp.Fig6(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func BenchmarkFig6TransitDelay(b *testing.B) {
 func BenchmarkFig7DesignPoints(b *testing.B) {
 	var syncOpti, existing float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig7()
+		r, err := exp.Fig7(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func BenchmarkFig7Serial(b *testing.B) {
 	exp.SetParallelism(1)
 	defer exp.SetParallelism(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig7(); err != nil {
+		if _, err := exp.Fig7(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +89,7 @@ func BenchmarkFig7Serial(b *testing.B) {
 func BenchmarkFig8CommFrequency(b *testing.B) {
 	var prod, cons float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig8()
+		r, err := exp.Fig8(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func BenchmarkFig8CommFrequency(b *testing.B) {
 func BenchmarkFig9Speedup(b *testing.B) {
 	var geo float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig9()
+		r, err := exp.Fig9(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func BenchmarkFig9Speedup(b *testing.B) {
 func BenchmarkFig10SlowBus(b *testing.B) {
 	var existing float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig10()
+		r, err := exp.Fig10(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func BenchmarkFig10SlowBus(b *testing.B) {
 func BenchmarkFig11WideBus(b *testing.B) {
 	var existing float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig11()
+		r, err := exp.Fig11(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func BenchmarkFig11WideBus(b *testing.B) {
 func BenchmarkFig12Optimizations(b *testing.B) {
 	var scq64 float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig12()
+		r, err := exp.Fig12(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

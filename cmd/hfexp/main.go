@@ -146,14 +146,14 @@ func main() {
 		{*table1 || all, func() (string, error) { return exp.Table1(), nil }},
 		{*table2 || all, func() (string, error) { return exp.Table2(), nil }},
 		{*fig3 || all, func() (string, error) { return exp.Fig3().Table(), nil }},
-		{*fig6 || all, tableCtx[*exp.Fig6Result](ctx)(exp.Fig6Ctx)},
-		{*fig7 || all, renderFig(exp.Fig7Ctx)},
-		{*fig8 || all, tableCtx[*exp.Fig8Result](ctx)(exp.Fig8Ctx)},
-		{*fig9 || all, tableCtx[*exp.Fig9Result](ctx)(exp.Fig9Ctx)},
-		{*fig10 || all, renderFig(exp.Fig10Ctx)},
-		{*fig11 || all, renderFig(exp.Fig11Ctx)},
-		{*fig12 || all, tableCtx[*exp.Fig12Result](ctx)(exp.Fig12Ctx)},
-		{*scaling || all, tableCtx[*exp.ScalingResult](ctx)(exp.ScalingCtx)},
+		{*fig6 || all, tableCtx[*exp.Fig6Result](ctx)(exp.Fig6)},
+		{*fig7 || all, renderFig(exp.Fig7)},
+		{*fig8 || all, tableCtx[*exp.Fig8Result](ctx)(exp.Fig8)},
+		{*fig9 || all, tableCtx[*exp.Fig9Result](ctx)(exp.Fig9)},
+		{*fig10 || all, renderFig(exp.Fig10)},
+		{*fig11 || all, renderFig(exp.Fig11)},
+		{*fig12 || all, tableCtx[*exp.Fig12Result](ctx)(exp.Fig12)},
+		{*scaling || all, tableCtx[*exp.ScalingResult](ctx)(exp.Scaling)},
 		{*stalls || all, tableOf(exp.StallBreakdown)},
 		{*abl, tableOf(exp.AblationQLU)},
 		{*abl, tableOf(exp.AblationBusPipelining)},

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +21,7 @@ func main() {
 	fast := flag.Bool("fast", false, "skip the bus-sensitivity and ablation sweeps")
 	flag.Parse()
 
+	ctx := context.Background()
 	start := time.Now()
 	fmt.Println("# hfstream evaluation report")
 	fmt.Println()
@@ -41,10 +43,10 @@ func main() {
 	section("Table 2 — baseline machine", exp.Table2())
 	section("Figure 3 — transit vs COMM-OP delay", exp.Fig3().Table())
 
-	f6 := mustV(exp.Fig6())
+	f6 := mustV(exp.Fig6(ctx))
 	section("Figure 6 — transit-delay tolerance", f6.Table())
 
-	f7 := mustV(exp.Fig7())
+	f7 := mustV(exp.Fig7(ctx))
 	section("Figure 7 — design points", f7.Table())
 	section("Figure 7 — chart", f7.Chart())
 	if !*fast {
@@ -52,18 +54,18 @@ func main() {
 			must(tbl(exp.Fig7Consumer())))
 	}
 
-	f8 := mustV(exp.Fig8())
+	f8 := mustV(exp.Fig8(ctx))
 	section("Figure 8 — communication frequency", f8.Table())
 
-	f9 := mustV(exp.Fig9())
+	f9 := mustV(exp.Fig9(ctx))
 	section("Figure 9 — speedup over single-threaded", f9.Table())
 
 	if !*fast {
-		section("Figure 10 — 4-cycle bus", must(tbl(exp.Fig10())))
-		section("Figure 11 — 128-byte bus", must(tbl(exp.Fig11())))
+		section("Figure 10 — 4-cycle bus", must(tbl(exp.Fig10(ctx))))
+		section("Figure 11 — 128-byte bus", must(tbl(exp.Fig11(ctx))))
 	}
 
-	f12 := mustV(exp.Fig12())
+	f12 := mustV(exp.Fig12(ctx))
 	section("Figure 12 — stream cache and queue size", f12.Table())
 	section("Figure 12 — producer chart", f12.Producer.Chart())
 

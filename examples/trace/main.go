@@ -45,7 +45,7 @@ func main() {
 	}
 
 	buf := trace.NewBuffer(1 << 18)
-	res, err := exp.RunBenchmarkOpts(context.Background(), b, cfg, exp.RunOpts{Trace: buf})
+	res, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: cfg}, exp.RunOpts{Trace: buf})
 	if err != nil {
 		log.Fatal(err)
 	}

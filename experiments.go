@@ -53,49 +53,49 @@ func RunExperimentCtx(ctx context.Context, name string) (string, error) {
 	case ExpFig3:
 		return exp.Fig3().Table(), nil
 	case ExpFig6:
-		r, err := exp.Fig6Ctx(ctx)
+		r, err := exp.Fig6(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpFig7:
-		r, err := exp.Fig7Ctx(ctx)
+		r, err := exp.Fig7(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpFig8:
-		r, err := exp.Fig8Ctx(ctx)
+		r, err := exp.Fig8(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpFig9:
-		r, err := exp.Fig9Ctx(ctx)
+		r, err := exp.Fig9(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpFig10:
-		r, err := exp.Fig10Ctx(ctx)
+		r, err := exp.Fig10(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpFig11:
-		r, err := exp.Fig11Ctx(ctx)
+		r, err := exp.Fig11(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpFig12:
-		r, err := exp.Fig12Ctx(ctx)
+		r, err := exp.Fig12(ctx)
 		if err != nil {
 			return "", err
 		}
 		return r.Table(), nil
 	case ExpScaling:
-		r, err := exp.ScalingCtx(ctx)
+		r, err := exp.Scaling(ctx)
 		if err != nil {
 			return "", err
 		}

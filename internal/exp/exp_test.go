@@ -67,7 +67,7 @@ func TestCheckOutputDetectsCorruption(t *testing.T) {
 		t.Fatal("corrupted (empty) output accepted")
 	}
 	// A verified run passes.
-	if _, err := RunBenchmark(b, design.HeavyWTConfig()); err != nil {
+	if _, err := Run(context.Background(), b, Job{Bench: b.Name, Config: design.HeavyWTConfig()}, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,7 +102,7 @@ func TestRunBenchmarkRejectsBadDesignCombination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBenchmark(b, cfg); err == nil {
+	if _, err := Run(context.Background(), b, Job{Bench: b.Name, Config: cfg}, RunOpts{}); err == nil {
 		t.Fatal("flagless software-queue layout accepted")
 	}
 }

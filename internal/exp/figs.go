@@ -113,11 +113,8 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the transit-delay tolerance experiment.
-func Fig6() (*Fig6Result, error) { return Fig6Ctx(context.Background()) }
-
-// Fig6Ctx is Fig6 with cancellation: in-flight simulations abort once ctx
-// is done.
-func Fig6Ctx(ctx context.Context) (*Fig6Result, error) {
+// In-flight simulations abort once ctx is done.
+func Fig6(ctx context.Context) (*Fig6Result, error) {
 	cfg1 := design.HeavyWTConfig()
 	cfg10 := design.HeavyWTConfig()
 	cfg10.InterconnectLat = 10
@@ -167,10 +164,7 @@ func (r *Fig6Result) Table() string {
 
 // Fig7 runs the four primary design points and reports the producer
 // thread's normalized execution-time breakdowns.
-func Fig7() (*BreakdownFigure, error) { return Fig7Ctx(context.Background()) }
-
-// Fig7Ctx is Fig7 with cancellation (see Fig6Ctx).
-func Fig7Ctx(ctx context.Context) (*BreakdownFigure, error) {
+func Fig7(ctx context.Context) (*BreakdownFigure, error) {
 	return breakdownFigure(ctx,
 		"Figure 7: Normalized execution times for each design point (producer thread)",
 		design.FourPoints(), 0)
@@ -204,10 +198,7 @@ type Fig8Result struct {
 
 // Fig8 measures communication frequency on the HEAVYWT design (the
 // produce/consume instruction builds, as in the paper).
-func Fig8() (*Fig8Result, error) { return Fig8Ctx(context.Background()) }
-
-// Fig8Ctx is Fig8 with cancellation (see Fig6Ctx).
-func Fig8Ctx(ctx context.Context) (*Fig8Result, error) {
+func Fig8(ctx context.Context) (*Fig8Result, error) {
 	res := &Fig8Result{Geomean: Fig8Row{Benchmark: "GeoMean"}}
 	grid, err := runMatrix(ctx, []design.Config{design.HeavyWTConfig()})
 	if err != nil {
@@ -266,10 +257,7 @@ type Fig9Result struct {
 
 // Fig9 runs the speedup experiment: each benchmark's single-threaded
 // baseline and HEAVYWT run are independent jobs on the worker pool.
-func Fig9() (*Fig9Result, error) { return Fig9Ctx(context.Background()) }
-
-// Fig9Ctx is Fig9 with cancellation (see Fig6Ctx).
-func Fig9Ctx(ctx context.Context) (*Fig9Result, error) {
+func Fig9(ctx context.Context) (*Fig9Result, error) {
 	benches := workloads.All()
 	heavy := design.HeavyWTConfig()
 	jobs := make([]Job, 0, 2*len(benches))
@@ -314,10 +302,7 @@ func (r *Fig9Result) Table() string {
 
 // Fig10 repeats Figure 7 with a 4-CPU-cycle bus (and a 4-cycle HEAVYWT
 // interconnect), exposing arbitration backlog on the narrow bus.
-func Fig10() (*BreakdownFigure, error) { return Fig10Ctx(context.Background()) }
-
-// Fig10Ctx is Fig10 with cancellation (see Fig6Ctx).
-func Fig10Ctx(ctx context.Context) (*BreakdownFigure, error) {
+func Fig10(ctx context.Context) (*BreakdownFigure, error) {
 	configs := design.FourPoints()
 	for i := range configs {
 		configs[i].BusCPB = 4
@@ -330,10 +315,7 @@ func Fig10Ctx(ctx context.Context) (*BreakdownFigure, error) {
 
 // Fig11 widens the 4-cycle bus to 128 bytes (a full line per beat),
 // restoring most of the lost performance.
-func Fig11() (*BreakdownFigure, error) { return Fig11Ctx(context.Background()) }
-
-// Fig11Ctx is Fig11 with cancellation (see Fig6Ctx).
-func Fig11Ctx(ctx context.Context) (*BreakdownFigure, error) {
+func Fig11(ctx context.Context) (*BreakdownFigure, error) {
 	configs := design.FourPoints()
 	for i := range configs {
 		configs[i].BusCPB = 4
@@ -356,10 +338,7 @@ type Fig12Result struct {
 
 // Fig12 evaluates the stream cache and queue-size optimizations:
 // HEAVYWT vs SYNCOPTI_SC+Q64 vs SYNCOPTI_SC vs SYNCOPTI_Q64 vs SYNCOPTI.
-func Fig12() (*Fig12Result, error) { return Fig12Ctx(context.Background()) }
-
-// Fig12Ctx is Fig12 with cancellation (see Fig6Ctx).
-func Fig12Ctx(ctx context.Context) (*Fig12Result, error) {
+func Fig12(ctx context.Context) (*Fig12Result, error) {
 	configs := []design.Config{
 		design.HeavyWTConfig(),
 		design.SyncOptiSCQ64Config(),

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 
 	"hfstream/internal/design"
@@ -49,7 +50,7 @@ func TestThreeStageSyncOpti(t *testing.T) {
 			if err := CheckOutput(b, img); err != nil {
 				t.Fatal(err)
 			}
-			two, err := RunBenchmark(b, design.SyncOptiSCQ64Config())
+			two, err := Run(context.Background(), b, Job{Bench: b.Name, Config: design.SyncOptiSCQ64Config()}, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

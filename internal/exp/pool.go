@@ -5,9 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
-
-	"hfstream/internal/ring"
 )
 
 // Pool is a long-lived bounded worker pool. Unlike Runner.Run, which
@@ -24,47 +21,21 @@ var (
 	ErrPoolClosed = errors.New("exp: pool closed")
 )
 
-// Pool runs submitted functions on a fixed set of worker goroutines. The
-// data path is wait-free SPSC rings (package ring) in the FastFlow
-// emitter style: TrySubmit (serialized by mu, so a single logical
-// producer) pushes into the intake ring; a dispatcher goroutine pops it
-// and hands each task to an idle worker's one-slot mailbox ring, so a
-// task is only ever committed to a worker that is free to run it.
-// Channels carry only wakeup signals, never tasks.
+// Pool runs submitted functions on a fixed set of worker goroutines that
+// drain one buffered channel. Tasks are millisecond-scale simulations, so
+// a channel handoff costs nothing measurable next to the work.
 type Pool struct {
-	depth   int
-	intake  *ring.SPSC[func()]
-	workers []*poolWorker
-
-	// submitted wakes the dispatcher (coalescing token: a pending token
-	// means "re-scan intake", so lost duplicates are harmless). freed
-	// wakes it when a worker finishes and may accept new work. stop is
-	// closed by the dispatcher once the pool is closed and every accepted
-	// task has been assigned; workers drain their mailbox and exit.
-	submitted chan struct{}
-	freed     chan struct{}
-	stop      chan struct{}
+	// tasks holds the queued tasks; its capacity is the queue depth.
+	// TrySubmit sends and Close closes it only under mu, so no send ever
+	// meets a closed channel.
+	tasks chan func()
+	// done is closed once the pool is closed with nothing pending, which
+	// lets Wait select on it without a goroutine of its own.
+	done chan struct{}
 
 	mu      sync.Mutex
 	closed  bool
-	queued  int // accepted, not yet picked up by a worker
 	pending int // accepted, not yet finished
-	// drained is lazily created by Wait and closed when the pool is
-	// closed with no pending work; Wait never spawns a goroutine, so a
-	// canceled Wait leaks nothing (the old implementation parked one
-	// goroutine per call on workers.Wait() forever).
-	drained chan struct{}
-}
-
-// poolWorker is one worker goroutine's endpoint: a one-slot mailbox ring
-// (dispatcher is the producer, the worker the consumer) plus its wake
-// signal. busy tells the dispatcher the worker is running a task; the
-// instant between popping the mailbox and setting busy can at worst
-// double-book a worker, never lose a task.
-type poolWorker struct {
-	box  *ring.SPSC[func()]
-	wake chan struct{}
-	busy atomic.Bool
 }
 
 // NewPool starts a pool with the given worker count (<= 0 means
@@ -74,22 +45,10 @@ func NewPool(workers, depth int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if depth < 1 {
-		depth = 1
-	}
-	p := &Pool{
-		depth:     depth,
-		intake:    ring.New[func()](depth),
-		submitted: make(chan struct{}, 1),
-		freed:     make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-	}
+	p := &Pool{tasks: make(chan func(), max(depth, 1)), done: make(chan struct{})}
 	for w := 0; w < workers; w++ {
-		pw := &poolWorker{box: ring.New[func()](1), wake: make(chan struct{}, 1)}
-		p.workers = append(p.workers, pw)
-		go p.work(pw)
+		go p.work()
 	}
-	go p.dispatch()
 	return p
 }
 
@@ -98,58 +57,57 @@ func NewPool(workers, depth int) *Pool {
 // worker goroutine on success.
 func (p *Pool) TrySubmit(fn func()) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return ErrPoolClosed
 	}
-	if p.queued >= p.depth {
-		p.mu.Unlock()
+	select {
+	case p.tasks <- fn:
+		p.pending++
+		return nil
+	default:
 		return ErrPoolFull
 	}
-	// Cannot fail: the intake ring holds >= depth items and never holds
-	// more than queued (tasks leave it when the dispatcher pops them).
-	p.intake.TryPush(fn)
-	p.queued++
-	p.pending++
-	p.mu.Unlock()
-	signal(p.submitted)
-	return nil
 }
 
 // Close stops intake: subsequent TrySubmit calls fail with ErrPoolClosed,
-// while already-queued tasks still run. Idempotent.
+// while already-queued tasks still run and the workers exit once the
+// queue is drained. Idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		if p.pending == 0 && p.drained != nil {
-			close(p.drained)
-			p.drained = nil
-		}
+	defer p.mu.Unlock()
+	if p.closed {
+		return
 	}
-	p.mu.Unlock()
-	signal(p.submitted) // let a parked dispatcher notice the close
+	p.closed = true
+	close(p.tasks)
+	if p.pending == 0 {
+		close(p.done)
+	}
 }
 
 // Wait blocks until the pool is closed and every accepted task has
 // finished, or ctx is done, whichever comes first.
 func (p *Pool) Wait(ctx context.Context) error {
-	p.mu.Lock()
-	if p.closed && p.pending == 0 {
-		p.mu.Unlock()
-		return nil
-	}
-	if p.drained == nil {
-		p.drained = make(chan struct{})
-	}
-	ch := p.drained
-	p.mu.Unlock()
 	select {
-	case <-ch:
+	case <-p.done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// Load returns, from one consistent snapshot, the number of tasks running
+// on workers (never more than the worker count) and the number waiting
+// for one.
+func (p *Pool) Load() (running, queued int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// pending only changes under mu, and len(tasks) only drops outside
+	// it (a worker's receive), so the difference is exact: tasks
+	// received and not yet finished.
+	queued = len(p.tasks)
+	return p.pending - queued, queued
 }
 
 // Pending returns the number of tasks accepted but not yet finished
@@ -161,108 +119,18 @@ func (p *Pool) Pending() int {
 }
 
 // QueueLen returns the number of tasks waiting for a worker.
-func (p *Pool) QueueLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queued
-}
+func (p *Pool) QueueLen() int { return len(p.tasks) }
 
-// signal performs a coalescing non-blocking send on a capacity-1 token
-// channel: if a token is already pending the receiver will re-scan
-// anyway, so dropping the duplicate is safe.
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// dispatch is the emitter loop: it moves tasks from the intake ring to
-// idle workers' mailboxes, parks when there is nothing to move, and
-// closes stop once the pool is closed and fully assigned.
-func (p *Pool) dispatch() {
-	for {
-		fn, ok := p.intake.TryPop()
-		if !ok {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				// TrySubmit checks closed under mu before pushing, so after
-				// observing closed one final pop sees every accepted task.
-				if fn, ok := p.intake.TryPop(); ok {
-					p.assign(fn)
-					continue
-				}
-				close(p.stop)
-				for _, w := range p.workers {
-					signal(w.wake)
-				}
-				return
-			}
-			<-p.submitted
-			continue
+// work is one worker's loop; it returns once Close has closed the queue
+// and the queue is empty.
+func (p *Pool) work() {
+	for fn := range p.tasks {
+		fn()
+		p.mu.Lock()
+		p.pending--
+		if p.pending == 0 && p.closed {
+			close(p.done)
 		}
-		p.assign(fn)
+		p.mu.Unlock()
 	}
-}
-
-// assign hands fn to an idle worker, waiting for one to free up when all
-// are busy. A worker with an empty mailbox and busy unset is claimed by
-// the push itself: until the worker picks the task up, its non-empty
-// mailbox keeps every later scan away.
-func (p *Pool) assign(fn func()) {
-	for {
-		for _, w := range p.workers {
-			if !w.busy.Load() && w.box.Len() == 0 {
-				w.box.TryPush(fn)
-				signal(w.wake)
-				return
-			}
-		}
-		<-p.freed
-	}
-}
-
-// work is one worker's loop: pop the mailbox, run, repeat; park on wake
-// when the mailbox is empty; after stop closes, drain and exit.
-func (p *Pool) work(w *poolWorker) {
-	for {
-		fn, ok := w.box.TryPop()
-		if !ok {
-			select {
-			case <-w.wake:
-				continue
-			case <-p.stop:
-				// The dispatcher assigned everything before closing stop;
-				// one final drain catches a task that raced the shutdown.
-				for {
-					fn, ok := w.box.TryPop()
-					if !ok {
-						return
-					}
-					p.run(w, fn)
-				}
-			}
-		}
-		p.run(w, fn)
-	}
-}
-
-// run executes one task with the pickup/finish bookkeeping.
-func (p *Pool) run(w *poolWorker, fn func()) {
-	w.busy.Store(true)
-	p.mu.Lock()
-	p.queued--
-	p.mu.Unlock()
-	fn()
-	w.busy.Store(false)
-	p.mu.Lock()
-	p.pending--
-	if p.pending == 0 && p.closed && p.drained != nil {
-		close(p.drained)
-		p.drained = nil
-	}
-	p.mu.Unlock()
-	signal(p.freed)
 }

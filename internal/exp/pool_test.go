@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,5 +125,59 @@ func TestPoolWaitLeaksNothing(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolCloseRace submits from many goroutines while another closes
+// the pool: no submit may panic (a send on the closed queue), every
+// accepted task runs exactly once, no refused task runs, and every
+// refusal is ErrPoolClosed or ErrPoolFull.
+func TestPoolCloseRace(t *testing.T) {
+	const submitters, perSubmitter = 8, 50
+	for round := 0; round < 20; round++ {
+		p := NewPool(2, 4)
+		var runs [submitters * perSubmitter]atomic.Int32
+		var accepted [submitters * perSubmitter]bool
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perSubmitter; i++ {
+					id := g*perSubmitter + i
+					err := p.TrySubmit(func() { runs[id].Add(1) })
+					switch {
+					case err == nil:
+						accepted[id] = true
+					case errors.Is(err, ErrPoolClosed), errors.Is(err, ErrPoolFull):
+					default:
+						t.Errorf("submit %d: unexpected error %v", id, err)
+					}
+				}
+			}(g)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			runtime.Gosched()
+			p.Close()
+		}()
+		close(start)
+		wg.Wait()
+		if err := p.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for id := range runs {
+			want := int32(0)
+			if accepted[id] {
+				want = 1
+			}
+			if got := runs[id].Load(); got != want {
+				t.Fatalf("round %d task %d: ran %d times, accepted=%v", round, id, got, accepted[id])
+			}
+		}
 	}
 }

@@ -13,25 +13,15 @@ import (
 
 	"hfstream/fault"
 	"hfstream/internal/design"
+	"hfstream/internal/dswp"
 	"hfstream/internal/isa"
 	"hfstream/internal/lower"
 	"hfstream/internal/mem"
+	"hfstream/internal/memsys"
 	"hfstream/internal/sim"
 	"hfstream/internal/workloads"
 	"hfstream/trace"
 )
-
-// RunBenchmark executes the pipelined version of b on the given design
-// point and verifies the output region against the functional oracle.
-func RunBenchmark(b *workloads.Benchmark, cfg design.Config) (*sim.Result, error) {
-	return RunBenchmarkSampledCtx(context.Background(), b, cfg, 0)
-}
-
-// RunBenchmarkSampled is RunBenchmark with per-interval time-series
-// collection (sampleInterval cycles per sample; 0 disables).
-func RunBenchmarkSampled(b *workloads.Benchmark, cfg design.Config, sampleInterval uint64) (*sim.Result, error) {
-	return RunBenchmarkSampledCtx(context.Background(), b, cfg, sampleInterval)
-}
 
 // RunOpts bundles the optional observability knobs a run can enable.
 type RunOpts struct {
@@ -61,96 +51,96 @@ func (o RunOpts) Apply(simCfg *sim.Config) {
 	simCfg.DisableFastForward = o.DisableFastForward
 }
 
-// RunBenchmarkSampledCtx is RunBenchmarkSampled with cancellation: the
-// simulation aborts with a *sim.CanceledError once ctx is done, so a
-// deadlocked or slow job cannot outlive its caller's deadline.
-func RunBenchmarkSampledCtx(ctx context.Context, b *workloads.Benchmark, cfg design.Config, sampleInterval uint64) (*sim.Result, error) {
-	return RunBenchmarkOpts(ctx, b, cfg, RunOpts{SampleInterval: sampleInterval})
-}
-
-// RunBenchmarkOpts runs the pipelined version of b on the given design
-// point with the requested observability options and verifies the output
-// region against the functional oracle. Multi-core configurations
-// dispatch to the matching partition shape: Parallel runs Cores-1
-// replicated workers plus a merger, Cores >= 3 runs a Cores-stage
-// pipeline, and everything else is the paper's dual-core machine.
-func RunBenchmarkOpts(ctx context.Context, b *workloads.Benchmark, cfg design.Config, opts RunOpts) (*sim.Result, error) {
-	if cfg.Parallel {
-		if cfg.Cores < 3 {
-			return nil, fmt.Errorf("exp: %s/%s: parallel-stage designs need Cores >= 3 (got %d)", b.Name, cfg.Name(), cfg.Cores)
-		}
-		return RunParallelOpts(ctx, b, cfg, cfg.Cores-1, opts)
+// Run executes one job on b, the resolved instance of j.Bench, and
+// verifies the output region against the functional oracle. The job
+// picks the program shape: the single-threaded baseline on the EXISTING
+// machine (Single), a Stages-deep DSWP chain on the job's design point
+// (Stages != 0), Cores-1 replicated workers plus a merger (Parallel
+// designs), a Cores-stage chain (Cores >= 3), or else the paper's
+// dual-core pipeline. Software-queue designs are lowered, and the
+// partition's queue routes steer the fabric for the designs that need
+// explicit routing.
+func Run(ctx context.Context, b *workloads.Benchmark, j Job, opts RunOpts) (*sim.Result, error) {
+	cfg := j.Config
+	if j.Single {
+		cfg = design.ExistingConfig()
 	}
-	if cfg.Cores >= 3 {
-		return RunStagedOpts(ctx, b, cfg, cfg.Cores, opts)
-	}
-	threads, _, err := b.Pipelined()
+	progs, routes, label, err := programs(b, j)
 	if err != nil {
 		return nil, err
 	}
-	progs := threads[:]
-	if cfg.SoftwareQueues() {
-		layout := cfg.Layout()
+	if !j.Single && cfg.SoftwareQueues() {
 		lowered := make([]*isa.Program, len(progs))
 		for i, p := range progs {
-			lowered[i], err = lower.Lower(p, layout)
+			lowered[i], err = lower.Lower(p, cfg.Layout())
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
 			}
 		}
 		progs = lowered
 	}
-	img := mem.New()
-	b.Setup(img)
-	var ths []sim.Thread
-	for _, p := range progs {
-		ths = append(ths, sim.Thread{Prog: p})
-	}
 	simCfg := cfg.SimConfig()
 	simCfg.Preload = b.InputRegions
 	opts.Apply(&simCfg)
 	simCfg.Cancel = ctx.Done()
-	res, err := sim.Run(simCfg, img, ths)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
-	}
-	if err := CheckOutput(b, img); err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, cfg.Name(), err)
-	}
-	return res, nil
-}
-
-// RunSingle executes the single-threaded baseline of b on the EXISTING
-// machine (one core) and verifies its output.
-func RunSingle(b *workloads.Benchmark) (*sim.Result, error) {
-	return RunSingleCtx(context.Background(), b)
-}
-
-// RunSingleCtx is RunSingle with cancellation (see RunBenchmarkSampledCtx).
-func RunSingleCtx(ctx context.Context, b *workloads.Benchmark) (*sim.Result, error) {
-	return RunSingleOpts(ctx, b, RunOpts{})
-}
-
-// RunSingleOpts is RunSingle with observability options.
-func RunSingleOpts(ctx context.Context, b *workloads.Benchmark, opts RunOpts) (*sim.Result, error) {
-	prog, err := b.Single()
-	if err != nil {
-		return nil, err
+	for _, rt := range routes {
+		simCfg.Mem.QueueRoutes = append(simCfg.Mem.QueueRoutes,
+			memsys.QueueRoute{Producer: rt.Producer, Consumer: rt.Consumer})
 	}
 	img := mem.New()
 	b.Setup(img)
-	simCfg := design.ExistingConfig().SimConfig()
-	simCfg.Preload = b.InputRegions
-	opts.Apply(&simCfg)
-	simCfg.Cancel = ctx.Done()
-	res, err := sim.Run(simCfg, img, []sim.Thread{{Prog: prog}})
+	ths := make([]sim.Thread, len(progs))
+	for i, p := range progs {
+		ths[i] = sim.Thread{Prog: p}
+	}
+	res, err := sim.Run(simCfg, img, ths)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s/single: %w", b.Name, err)
+		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
 	}
 	if err := CheckOutput(b, img); err != nil {
-		return nil, fmt.Errorf("exp: %s/single: %w", b.Name, err)
+		return nil, fmt.Errorf("exp: %s/%s: %w", b.Name, label, err)
 	}
 	return res, nil
+}
+
+// programs builds the job's thread programs (before lowering), the
+// partition's queue routes, and the label run errors carry.
+func programs(b *workloads.Benchmark, j Job) ([]*isa.Program, []dswp.QueueRoute, string, error) {
+	cfg := j.Config
+	var pr *dswp.Result
+	var err error
+	var label string
+	switch {
+	case j.Single:
+		prog, err := b.Single()
+		return []*isa.Program{prog}, nil, "single", err
+	case j.Stages == 0 && cfg.Parallel:
+		if cfg.Cores < 3 {
+			return nil, nil, "", fmt.Errorf("exp: %s/%s: parallel-stage designs need Cores >= 3 (got %d)", b.Name, cfg.Name(), cfg.Cores)
+		}
+		if b.Loop == nil {
+			return nil, nil, "", fmt.Errorf("exp: %s is hand-partitioned; parallel-stage runs need an IR kernel", b.Name)
+		}
+		pr, err = dswp.PartitionParallel(b.Loop, cfg.Cores-1)
+		label = fmt.Sprintf("%s/%d-worker", cfg.Name(), cfg.Cores-1)
+	case j.Stages == 0 && cfg.Cores < 3:
+		threads, _, err := b.Pipelined()
+		return threads[:], nil, cfg.Name(), err
+	default:
+		n := j.Stages
+		if n == 0 {
+			n = cfg.Cores
+		}
+		if b.Loop == nil {
+			return nil, nil, "", fmt.Errorf("exp: %s is hand-partitioned; staged runs need an IR kernel", b.Name)
+		}
+		pr, err = dswp.PartitionN(b.Loop, n)
+		label = fmt.Sprintf("%s/%d-stage", cfg.Name(), n)
+	}
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("exp: %s: %w", b.Name, err)
+	}
+	return pr.Threads, pr.Routes, label, nil
 }
 
 // CheckOutput compares the benchmark's output region in img against the

@@ -21,7 +21,8 @@ import (
 // in deterministic input order.
 
 // Job is one simulation: a benchmark run on a design point, or (with
-// Single) the single-threaded baseline on the EXISTING machine.
+// Single) the single-threaded baseline on the EXISTING machine. Run
+// derives the program shape from it.
 type Job struct {
 	// Bench names the workload; each job resolves a fresh instance via
 	// workloads.ByName so concurrent jobs share no mutable state.
@@ -29,14 +30,20 @@ type Job struct {
 	Config design.Config
 	// Single runs the unpartitioned baseline; Config is ignored.
 	Single bool
+	// Stages, when nonzero, partitions the kernel into that many DSWP
+	// pipeline stages on Config regardless of its core count.
+	Stages int
 	// SampleInterval enables per-interval time-series collection.
 	SampleInterval uint64
 }
 
 // Name labels the job for progress reports and warnings.
 func (j Job) Name() string {
-	if j.Single {
+	switch {
+	case j.Single:
 		return j.Bench + "/single"
+	case j.Stages != 0:
+		return fmt.Sprintf("%s/%s/%d-stage", j.Bench, j.Config.Name(), j.Stages)
 	}
 	return j.Bench + "/" + j.Config.Name()
 }
@@ -89,7 +96,9 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 		exec = runJob
 	}
 
-	var done atomic.Int64
+	// done is counted under progressMu so the callback sees 1, 2, 3, ...
+	// in call order.
+	var done int
 	var progressMu sync.Mutex
 	pool := NewPool(workers, len(jobs))
 	for i := range jobs {
@@ -120,12 +129,12 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 			if errors.As(err, &dl) && dl.Diag != nil {
 				diagnosef(j.Name(), dl.Diag)
 			}
-			n := int(done.Add(1))
+			progressMu.Lock()
+			done++
 			if r.Progress != nil {
-				progressMu.Lock()
-				r.Progress(n, len(jobs), results[i])
-				progressMu.Unlock()
+				r.Progress(done, len(jobs), results[i])
 			}
+			progressMu.Unlock()
 		})
 	}
 	pool.Close()
@@ -139,10 +148,7 @@ func runJob(ctx context.Context, j Job) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.Single {
-		return RunSingleCtx(ctx, b)
-	}
-	return RunBenchmarkSampledCtx(ctx, b, j.Config, j.SampleInterval)
+	return Run(ctx, b, j, RunOpts{SampleInterval: j.SampleInterval})
 }
 
 // FirstErr returns the first error in input order, or nil.

@@ -144,13 +144,13 @@ func TestOracleRunsOncePerBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBenchmark(b, design.HeavyWTConfig()); err != nil {
+	if _, err := Run(context.Background(), b, Job{Bench: b.Name, Config: design.HeavyWTConfig()}, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBenchmark(b, design.SyncOptiConfig()); err != nil {
+	if _, err := Run(context.Background(), b, Job{Bench: b.Name, Config: design.SyncOptiConfig()}, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSingle(b); err != nil {
+	if _, err := Run(context.Background(), b, Job{Bench: b.Name, Single: true}, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := oracleRuns.Load(); n != 1 {
@@ -161,7 +161,7 @@ func TestOracleRunsOncePerBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSingle(fir); err != nil {
+	if _, err := Run(context.Background(), fir, Job{Bench: fir.Name, Single: true}, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := oracleRuns.Load(); n != 2 {
@@ -269,13 +269,13 @@ func TestRunMatrixShape(t *testing.T) {
 }
 
 // TestRunnerSerialMatchesLegacyPath: Workers=1 through the runner equals a
-// direct RunBenchmark call (the old serial code path).
+// direct Run call (the serial code path).
 func TestRunnerSerialMatchesLegacyPath(t *testing.T) {
 	b, err := workloads.ByName("fir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunBenchmark(b, design.HeavyWTConfig())
+	direct, err := Run(context.Background(), b, Job{Bench: b.Name, Config: design.HeavyWTConfig()}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,9 @@ type ScalingResult struct {
 }
 
 // Scaling runs the full scaling study on the default runner.
-func Scaling() (*ScalingResult, error) { return ScalingCtx(context.Background()) }
-
-// ScalingCtx is Scaling with cancellation. The single-core baseline is
-// run once per benchmark and shared across that benchmark's rows.
-func ScalingCtx(ctx context.Context) (*ScalingResult, error) {
+// The single-core baseline is run once per benchmark and shared
+// across that benchmark's rows.
+func Scaling(ctx context.Context) (*ScalingResult, error) {
 	res := &ScalingResult{Cores: ScalingCores}
 	var jobs []Job
 	type slot struct{ row, cell, job int }

@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"context"
 	"testing"
 
 	"hfstream/internal/design"
@@ -17,7 +18,7 @@ func TestCommunicationFrequencyBand(t *testing.T) {
 	for _, b := range workloads.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			res, err := exp.RunBenchmark(b, design.HeavyWTConfig())
+			res, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: design.HeavyWTConfig()}, exp.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,7 @@ func TestMemoryBehaviourCharacterization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RunBenchmark(mcf, design.HeavyWTConfig())
+	res, err := exp.Run(context.Background(), mcf, exp.Job{Bench: mcf.Name, Config: design.HeavyWTConfig()}, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestMemoryBehaviourCharacterization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = exp.RunBenchmark(wc, design.HeavyWTConfig())
+	res, err = exp.Run(context.Background(), wc, exp.Job{Bench: wc.Name, Config: design.HeavyWTConfig()}, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSyncOptiVariantsAgreeFunctionally(t *testing.T) {
 		design.SyncOptiConfig(), design.SyncOptiQ64Config(),
 		design.SyncOptiSCConfig(), design.SyncOptiSCQ64Config(),
 	} {
-		if _, err := exp.RunBenchmark(b, cfg); err != nil {
+		if _, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: cfg}, exp.RunOpts{}); err != nil {
 			t.Errorf("%s: %v", cfg.Name(), err)
 		}
 	}
@@ -147,7 +148,7 @@ func TestStreamCacheActuallyHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.RunBenchmark(b, design.SyncOptiSCConfig())
+	res, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: design.SyncOptiSCConfig()}, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestStreamCacheActuallyHits(t *testing.T) {
 		t.Errorf("stream cache hits = %d over %d iterations", hits, b.Iterations)
 	}
 	// And the SC design must beat plain SYNCOPTI.
-	plain, err := exp.RunBenchmark(b, design.SyncOptiConfig())
+	plain, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: design.SyncOptiConfig()}, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestWriteForwardingActive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := exp.RunBenchmark(b, design.MemOptiConfig())
+		res, err := exp.Run(context.Background(), b, exp.Job{Bench: b.Name, Config: design.MemOptiConfig()}, exp.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ package hfstream
 // paper makes. EXPERIMENTS.md records the exact measured values.
 
 import (
+	"context"
 	"testing"
 
 	"hfstream/internal/exp"
@@ -16,7 +17,7 @@ func TestShapeFig7DesignOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig7()
+	r, err := exp.Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestShapeFig7WcIsWorstForSyncOpti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig7()
+	r, err := exp.Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestShapeFig6TransitTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig6()
+	r, err := exp.Fig6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestShapeFig8CommEvery5to20(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig8()
+	r, err := exp.Fig8(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestShapeFig9Parallelization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	r, err := exp.Fig9()
+	r, err := exp.Fig9(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func TestShapeFig12StreamCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	f12, err := exp.Fig12()
+	f12, err := exp.Fig12(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f7, err := exp.Fig7()
+	f7, err := exp.Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +204,15 @@ func TestShapeFig10and11BusSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix")
 	}
-	f7, err := exp.Fig7()
+	f7, err := exp.Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f10, err := exp.Fig10()
+	f10, err := exp.Fig10(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f11, err := exp.Fig11()
+	f11, err := exp.Fig11(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

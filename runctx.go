@@ -13,34 +13,34 @@ import (
 // simulation cannot outlive its caller's deadline. Like Run, the memory
 // image is verified against the functional-interpreter oracle.
 func RunCtx(ctx context.Context, b Benchmark, d Design, opts ...RunOpt) (Result, error) {
-	o := gatherOpts(opts)
-	res, err := exp.RunBenchmarkOpts(ctx, b.b, d.cfg, o.expOpts())
-	if err != nil {
-		return Result{}, err
-	}
-	return finishRun(res, b.Name(), d.Name(), o)
+	return run(ctx, b, exp.Job{Config: d.cfg}, opts)
 }
 
 // RunStagedCtx is RunStaged with cancellation and observability options
 // (see RunCtx).
 func RunStagedCtx(ctx context.Context, b Benchmark, d Design, stages int, opts ...RunOpt) (Result, error) {
-	o := gatherOpts(opts)
-	res, err := exp.RunStagedOpts(ctx, b.b, d.cfg, stages, o.expOpts())
-	if err != nil {
-		return Result{}, err
-	}
-	return finishRun(res, b.Name(), d.Name(), o)
+	return run(ctx, b, exp.Job{Config: d.cfg, Stages: stages}, opts)
 }
 
 // RunSingleThreadedCtx is RunSingleThreaded with cancellation and
 // observability options (see RunCtx).
 func RunSingleThreadedCtx(ctx context.Context, b Benchmark, opts ...RunOpt) (Result, error) {
+	return run(ctx, b, exp.Job{Single: true}, opts)
+}
+
+// run executes the job on b through the experiment harness's run path.
+func run(ctx context.Context, b Benchmark, j exp.Job, opts []RunOpt) (Result, error) {
 	o := gatherOpts(opts)
-	res, err := exp.RunSingleOpts(ctx, b.b, o.expOpts())
+	j.Bench = b.Name()
+	res, err := exp.Run(ctx, b.b, j, o.expOpts())
 	if err != nil {
 		return Result{}, err
 	}
-	return finishRun(res, b.Name(), "SINGLE", o)
+	designName := j.Config.Name()
+	if j.Single {
+		designName = "SINGLE"
+	}
+	return finishRun(res, b.Name(), designName, o)
 }
 
 // finishRun converts the internal result and applies post-run options

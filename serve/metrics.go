@@ -82,8 +82,7 @@ func (s *Server) Metrics() Metrics {
 	m.ShedQueueFull = s.shed.Load()
 	m.RejectedDraining = s.rejected.Load()
 	m.PeerPutRejected = s.peerPutBad.Load()
-	m.InFlight = s.inFlight()
-	m.Queued = s.pool.QueueLen()
+	m.InFlight, m.Queued = s.pool.Load()
 	m.QueueDepth = s.cfg.QueueDepth
 	m.Cache.Entries, m.Cache.Bytes, m.Cache.BudgetBytes, m.Cache.Evictions = s.cache.Stats()
 	if s.peer != nil {

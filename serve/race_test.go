@@ -10,9 +10,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hfstream"
 )
@@ -169,5 +175,80 @@ func TestRaceDrainMidFlight(t *testing.T) {
 	status, body, _ := post(t, ts.URL, `{"bench":"wc","design":"EXISTING"}`)
 	if status != 503 || errCode(t, body) != codeDraining {
 		t.Fatalf("post-drain request: status=%d body=%s, want typed 503", status, body)
+	}
+}
+
+// TestRaceQueueGaugesStayInBounds saturates a 1-worker, depth-2 server
+// with short distinct jobs while polling /metrics and /healthz. Every
+// read must report 0 <= in_flight <= workers and queued <= queue_depth:
+// the gauges come from one pool snapshot, so a task pickup between two
+// separate reads can no longer over-report in_flight.
+func TestRaceQueueGaugesStayInBounds(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	s.run = func(ctx context.Context, spec hfstream.Spec, hooks *streamHooks) *outcome {
+		s.runs.Add(1)
+		time.Sleep(20 * time.Microsecond)
+		return &outcome{status: 200, body: []byte("{}\n"), source: "miss", ok: true}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Distinct hop counts give distinct specs, so neither the cache nor
+	// coalescing absorbs the load; most requests shed with 429.
+	const clients = 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for h := c + 1; ; h += clients {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body := fmt.Sprintf(`{"bench":"wc","design":"NETQUEUE_%dhop"}`, h)
+				resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}(c)
+	}
+	getJSON := func(path string, v any) {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 300; i++ {
+		var m Metrics
+		getJSON("/metrics", &m)
+		if m.InFlight < 0 || m.InFlight > m.Workers || m.Queued < 0 || m.Queued > m.QueueDepth {
+			t.Fatalf("/metrics read %d: in_flight=%d queued=%d, want in [0,%d] and [0,%d]",
+				i, m.InFlight, m.Queued, m.Workers, m.QueueDepth)
+		}
+		var h struct {
+			InFlight int `json:"in_flight"`
+		}
+		getJSON("/healthz", &h)
+		if h.InFlight < 0 || h.InFlight > m.Workers {
+			t.Fatalf("/healthz read %d: in_flight=%d, want in [0,%d]", i, h.InFlight, m.Workers)
+		}
+	}
+	if m := s.Metrics(); m.Runs == 0 || m.ShedQueueFull == 0 {
+		t.Fatalf("runs=%d shed=%d: the server was never saturated", m.Runs, m.ShedQueueFull)
 	}
 }

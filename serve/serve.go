@@ -453,13 +453,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"status\":%q,\"in_flight\":%d}\n", status, s.inFlight())
-}
-
-func (s *Server) inFlight() int {
-	n := s.pool.Pending() - s.pool.QueueLen()
-	if n < 0 {
-		n = 0
-	}
-	return n
+	inFlight, _ := s.pool.Load()
+	fmt.Fprintf(w, "{\"status\":%q,\"in_flight\":%d}\n", status, inFlight)
 }

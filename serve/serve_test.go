@@ -201,7 +201,7 @@ func TestServeDrainRejectsNewAndFinishesInFlight(t *testing.T) {
 			body   []byte
 		}{status, body}
 	}()
-	waitFor(t, func() bool { return s.inFlight() == 1 })
+	waitFor(t, func() bool { running, _ := s.pool.Load(); return running == 1 })
 
 	s.BeginDrain()
 
@@ -251,7 +251,7 @@ func TestServeDrainDeadlineCancelsJobs(t *testing.T) {
 		status, _, _ := post(t, ts.URL, `{"bench":"wc","design":"EXISTING"}`)
 		done <- status
 	}()
-	waitFor(t, func() bool { return s.inFlight() == 1 })
+	waitFor(t, func() bool { running, _ := s.pool.Load(); return running == 1 })
 
 	// The gate never opens: an expired drain budget must cancel the job
 	// through its context rather than hang forever.

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"hfstream/internal/exp"
 )
 
 // Spec describes one simulation request as plain data: which benchmark,
@@ -38,32 +40,39 @@ type Spec struct {
 // resolved to its canonical label, so that any two specs describing the
 // same run normalize to identical values.
 func (s Spec) Normalize() (Spec, error) {
+	n, _, _, err := s.resolve()
+	return n, err
+}
+
+// resolve is Normalize that also returns the resolved benchmark and
+// design (the zero Design for a single-threaded spec).
+func (s Spec) resolve() (Spec, Benchmark, Design, error) {
 	b, err := BenchmarkByName(s.Bench)
 	if err != nil {
-		return Spec{}, err
+		return Spec{}, Benchmark{}, Design{}, err
 	}
 	s.Bench = b.Name()
 	if s.Stages < 0 || s.Stages == 1 {
-		return Spec{}, fmt.Errorf("hfstream: spec stages must be 0 (pipelined) or >= 2, got %d", s.Stages)
+		return Spec{}, Benchmark{}, Design{}, fmt.Errorf("hfstream: spec stages must be 0 (pipelined) or >= 2, got %d", s.Stages)
 	}
 	if s.Single {
 		if s.Design != "" {
-			return Spec{}, fmt.Errorf("hfstream: single-threaded spec must not name a design (got %q; the baseline always runs on EXISTING)", s.Design)
+			return Spec{}, Benchmark{}, Design{}, fmt.Errorf("hfstream: single-threaded spec must not name a design (got %q; the baseline always runs on EXISTING)", s.Design)
 		}
 		if s.Stages != 0 {
-			return Spec{}, fmt.Errorf("hfstream: single-threaded spec cannot be staged (stages=%d)", s.Stages)
+			return Spec{}, Benchmark{}, Design{}, fmt.Errorf("hfstream: single-threaded spec cannot be staged (stages=%d)", s.Stages)
 		}
-		return s, nil
+		return s, b, Design{}, nil
 	}
 	d, err := DesignByName(s.Design)
 	if err != nil {
-		return Spec{}, err
+		return Spec{}, Benchmark{}, Design{}, err
 	}
 	if s.Stages >= 2 && (d.cfg.Cores >= 3 || d.cfg.Parallel) {
-		return Spec{}, fmt.Errorf("hfstream: spec stages=%d conflicts with multi-core design %q (its core count is part of the design name)", s.Stages, d.Name())
+		return Spec{}, Benchmark{}, Design{}, fmt.Errorf("hfstream: spec stages=%d conflicts with multi-core design %q (its core count is part of the design name)", s.Stages, d.Name())
 	}
 	s.Design = d.Name()
-	return s, nil
+	return s, b, d, nil
 }
 
 // Canonical returns the spec's canonical byte form: the normalized spec
@@ -91,29 +100,15 @@ func (s Spec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RunCtx executes the described run: RunSingleThreadedCtx for Single,
-// RunStagedCtx when Stages >= 2, and the standard pipelined RunCtx
-// otherwise. Options pass through unchanged, so a Spec round-tripped
-// through the serve package produces byte-identical WithMetrics output to
-// calling the API directly.
+// RunCtx executes the described run: the single-threaded baseline for
+// Single, a Stages-deep pipeline when Stages >= 2, and the design's
+// standard run otherwise. Options pass through unchanged, so a Spec
+// round-tripped through the serve package produces byte-identical
+// WithMetrics output to calling the API directly.
 func (s Spec) RunCtx(ctx context.Context, opts ...RunOpt) (Result, error) {
-	n, err := s.Normalize()
+	n, b, d, err := s.resolve()
 	if err != nil {
 		return Result{}, err
 	}
-	b, err := BenchmarkByName(n.Bench)
-	if err != nil {
-		return Result{}, err
-	}
-	if n.Single {
-		return RunSingleThreadedCtx(ctx, b, opts...)
-	}
-	d, err := DesignByName(n.Design)
-	if err != nil {
-		return Result{}, err
-	}
-	if n.Stages >= 2 {
-		return RunStagedCtx(ctx, b, d, n.Stages, opts...)
-	}
-	return RunCtx(ctx, b, d, opts...)
+	return run(ctx, b, exp.Job{Config: d.cfg, Single: n.Single, Stages: n.Stages}, opts)
 }
