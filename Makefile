@@ -2,8 +2,8 @@
 #
 #   make tier1        - the gate every PR must keep green (build + vet + tests)
 #   make race         - race-detector pass over the concurrent experiment
-#                       runner, the simulator entry points, and the serve/
-#                       HTTP service
+#                       runner, the simulator entry points, the shared
+#                       workload registry, and the serve/ HTTP service
 #   make coverage     - full-module coverage profile (coverage.out); fails
 #                       if the total drops below the recorded baseline
 #   make bench        - run the kernel performance harness over the full
@@ -15,7 +15,7 @@
 #                       wall time regressed >25% geomean against the
 #                       checked-in BENCH_PR6.json baseline
 #   make gobench      - one `go test -bench` pass over the paper-reproduction
-#                       benchmarks
+#                       benchmarks, Spec.Key and the served cache-hit path
 #   make serve-diff   - the serve differential battery: streamed and
 #                       non-streamed /run plus /sweep must produce
 #                       byte-identical metrics across cold, cached, and
@@ -85,7 +85,7 @@ test:
 
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/exp/... ./internal/sim/... ./serve/...
+	$(GO) test -race ./internal/exp/... ./internal/sim/... ./internal/workloads/... ./serve/...
 
 # The profile lands in coverage.out, which is git-ignored (see
 # .gitignore) — inspect it with `go tool cover -html=coverage.out`.
@@ -115,7 +115,7 @@ bench-compare:
 		-label compare -baseline BENCH_PR6.json -maxregress 25
 
 gobench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./serve
 
 ci: tier1 race coverage fmtcheck golden-check golden-check-noff serve-diff serve-diff-noff serve-cluster load-smoke scaling bench-compare chaos-smoke chaos-cluster
 

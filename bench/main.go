@@ -14,6 +14,11 @@
 //	go run ./bench -benches bzip2,adpcmdec -reps 1 -out -
 //	go run ./bench -baseline old.json      # adds speedup-vs-baseline fields
 //	go run ./bench -baseline old.json -maxregress 25   # CI regression gate
+//
+// With -baseline the run fails if any matched pair's simulated cycle
+// count differs from the baseline's: the simulator is deterministic, so
+// cycles are an exact work gate, while the -maxregress wall-time floor
+// is a noisy backstop.
 package main
 
 import (
@@ -90,13 +95,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
+	var moved []string
 	if *baseline != "" {
 		base, err := readReport(*baseline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
-		compare(rep, base)
+		moved = compare(rep, base)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -117,6 +123,14 @@ func main() {
 	if rep.SpeedupWallGeomean > 0 {
 		fmt.Fprintf(os.Stderr, "bench: speedup vs %q: %.2fx geomean, %.2fx total wall, %.2fx allocs\n",
 			rep.Baseline.Label, rep.SpeedupWallGeomean, rep.SpeedupWallTotal, rep.AllocsRatio)
+	}
+	if len(moved) > 0 {
+		for _, m := range moved {
+			fmt.Fprintf(os.Stderr, "bench: FAIL: %s\n", m)
+		}
+		fmt.Fprintf(os.Stderr, "bench: FAIL: %d pair(s) simulated a different cycle count than %q\n",
+			len(moved), rep.Baseline.Label)
+		os.Exit(1)
 	}
 	if *maxregress > 0 && rep.Baseline != nil {
 		// A speedup of 1/(1+x/100) means wall time grew by x percent.
@@ -210,8 +224,9 @@ func readReport(path string) (*Report, error) {
 }
 
 // compare fills the speedup fields of rep from a baseline report, matching
-// pairs by (benchmark, design) name.
-func compare(rep, base *Report) {
+// pairs by (benchmark, design) name, and describes each matched pair whose
+// cycle count differs from the baseline's.
+func compare(rep, base *Report) (moved []string) {
 	baseBy := make(map[string]Pair, len(base.Pairs))
 	for _, p := range base.Pairs {
 		baseBy[p.Benchmark+"/"+p.Design] = p
@@ -220,7 +235,12 @@ func compare(rep, base *Report) {
 	var baseWall, curWall int64
 	var baseAllocs, curAllocs uint64
 	for _, p := range rep.Pairs {
-		if bp, ok := baseBy[p.Benchmark+"/"+p.Design]; ok && p.WallNs > 0 {
+		bp, ok := baseBy[p.Benchmark+"/"+p.Design]
+		if ok && p.Cycles != bp.Cycles {
+			moved = append(moved, fmt.Sprintf("%s/%s: %d cycles, baseline %d",
+				p.Benchmark, p.Design, p.Cycles, bp.Cycles))
+		}
+		if ok && p.WallNs > 0 {
 			ratios = append(ratios, float64(bp.WallNs)/float64(p.WallNs))
 			baseWall += bp.WallNs
 			curWall += p.WallNs
@@ -239,4 +259,5 @@ func compare(rep, base *Report) {
 	if curAllocs > 0 {
 		rep.AllocsRatio = float64(baseAllocs) / float64(curAllocs)
 	}
+	return moved
 }

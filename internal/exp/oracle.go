@@ -53,18 +53,14 @@ func Expected(b *workloads.Benchmark) (*mem.Memory, error) {
 		oracleCache.m[b.Name] = e
 	}
 	oracleCache.Unlock()
-	e.once.Do(func() { e.img, e.err = computeOracle(b.Name) })
+	e.once.Do(func() { e.img, e.err = computeOracle(b) })
 	return e.img, e.err
 }
 
-// computeOracle runs the interpreter on a fresh benchmark instance so the
-// oracle never shares mutable state (programs, setup closures) with
-// simulations of the same benchmark on sibling goroutines.
-func computeOracle(name string) (*mem.Memory, error) {
-	b, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
+// computeOracle runs the single-threaded program on the interpreter. b
+// may be the registry instance sibling goroutines are simulating: a
+// Benchmark is read-only, and Single and Setup only read it.
+func computeOracle(b *workloads.Benchmark) (*mem.Memory, error) {
 	prog, err := b.Single()
 	if err != nil {
 		return nil, err

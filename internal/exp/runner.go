@@ -16,16 +16,16 @@ import (
 
 // The runner fans independent (benchmark, design, variant) simulations
 // across a goroutine pool. Every figure/table of the evaluation is a grid
-// of share-nothing jobs — each worker resolves its own benchmark instance
-// and memory image — so regeneration scales with cores while results stay
-// in deterministic input order.
+// of independent jobs — workers share the registry's read-only benchmarks
+// and each builds its own programs and memory image — so regeneration
+// scales with cores while results stay in deterministic input order.
 
 // Job is one simulation: a benchmark run on a design point, or (with
 // Single) the single-threaded baseline on the EXISTING machine. Run
 // derives the program shape from it.
 type Job struct {
-	// Bench names the workload; each job resolves a fresh instance via
-	// workloads.ByName so concurrent jobs share no mutable state.
+	// Bench names the workload. Jobs resolve it via workloads.ByName to
+	// the registry's shared instance, which concurrent jobs only read.
 	Bench  string
 	Config design.Config
 	// Single runs the unpartitioned baseline; Config is ignored.
@@ -142,7 +142,8 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 	return results
 }
 
-// runJob executes one job on a freshly resolved benchmark.
+// runJob executes one job on its benchmark's shared registry instance;
+// Run only reads the benchmark, deriving per-job programs and image.
 func runJob(ctx context.Context, j Job) (*sim.Result, error) {
 	b, err := workloads.ByName(j.Bench)
 	if err != nil {

@@ -16,6 +16,8 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"hfstream/internal/dswp"
 	"hfstream/internal/ir"
@@ -92,21 +94,33 @@ func (b *Benchmark) Single() (*isa.Program, error) {
 }
 
 // ByName returns the named benchmark or an error listing valid names.
+// The benchmark is the registry's shared instance (see All).
 func ByName(name string) (*Benchmark, error) {
-	for _, b := range All() {
+	all := registry()
+	for _, b := range all {
 		if b.Name == name {
 			return b, nil
 		}
 	}
 	names := ""
-	for _, b := range All() {
+	for _, b := range all {
 		names += " " + b.Name
 	}
 	return nil, fmt.Errorf("workloads: unknown benchmark %q (have:%s)", name, names)
 }
 
-// All returns the nine benchmarks in the paper's figure order.
-func All() []*Benchmark {
+// All returns the nine benchmarks in the paper's figure order. The slice
+// is the caller's own; the benchmarks in it are the registry's shared
+// instances.
+func All() []*Benchmark { return slices.Clone(registry()) }
+
+// registry builds the nine benchmarks once per process. A Benchmark is
+// read-only after construction, so one instance serves every caller and
+// goroutine: nothing writes its fields, its Loop or its hand-built
+// programs; dswp, lower and interp derive new programs from them; and
+// each setup closure seeds its own generator, writing only the image it
+// is given.
+var registry = sync.OnceValue(func() []*Benchmark {
 	return []*Benchmark{
 		buildArt(),
 		buildEquake(),
@@ -118,7 +132,7 @@ func All() []*Benchmark {
 		buildFir(),
 		buildFft2(),
 	}
-}
+})
 
 // rng is a small deterministic xorshift64* generator so workload data is
 // reproducible across runs and platforms.
