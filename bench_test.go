@@ -148,6 +148,20 @@ func BenchmarkFig12Optimizations(b *testing.B) {
 	b.ReportMetric(scq64, "scq64-vs-heavywt")
 }
 
+// BenchmarkAllFigures runs one pass of every experiment, as hfexp and
+// perfbench's paper_figures workload do, so the whole in-process figures
+// pass and its allocations sit next to the per-figure benchmarks.
+func BenchmarkAllFigures(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, name := range ExperimentNames() {
+			if _, err := RunExperimentCtx(context.Background(), name); err != nil {
+				b.Fatalf("%s: %v", name, err)
+			}
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed
 // (cycles simulated per wall-clock second) on the wc/SYNCOPTI pair.
 func BenchmarkSimulatorThroughput(b *testing.B) {

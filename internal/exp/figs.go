@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hfstream/internal/design"
+	"hfstream/internal/sim"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
 )
@@ -34,14 +35,21 @@ type BreakdownFigure struct {
 }
 
 // breakdownFigure runs every benchmark on each config (fanned across the
-// worker pool) and normalizes each bar to the first config's (the
-// baseline's) execution time.
+// worker pool) and builds the coreIdx thread's figure from the grid.
 func breakdownFigure(ctx context.Context, title string, configs []design.Config, coreIdx int) (*BreakdownFigure, error) {
-	fig := &BreakdownFigure{Title: title, Core: coreIdx}
 	grid, err := runMatrix(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
+	return breakdownFromGrid(grid, title, configs, coreIdx), nil
+}
+
+// breakdownFromGrid builds the coreIdx thread's figure from a runMatrix
+// grid over configs, normalizing each bar to the first config's (the
+// baseline's) execution time. It only reads the grid, so one grid can
+// feed several figures.
+func breakdownFromGrid(grid [][]*sim.Result, title string, configs []design.Config, coreIdx int) *BreakdownFigure {
+	fig := &BreakdownFigure{Title: title, Core: coreIdx}
 	sums := make([][]float64, len(configs))
 	for bi, b := range workloads.All() {
 		row := BreakdownRow{Benchmark: b.Name}
@@ -64,7 +72,7 @@ func breakdownFigure(ctx context.Context, title string, configs []design.Config,
 			Design: cfg.Name(), Total: stats.Geomean(sums[ci]),
 		})
 	}
-	return fig, nil
+	return fig
 }
 
 // Table renders the figure as text: one line per (benchmark, design).
@@ -338,6 +346,8 @@ type Fig12Result struct {
 
 // Fig12 evaluates the stream cache and queue-size optimizations:
 // HEAVYWT vs SYNCOPTI_SC+Q64 vs SYNCOPTI_SC vs SYNCOPTI_Q64 vs SYNCOPTI.
+// Both panels come from one simulation grid: every run records both
+// threads' breakdowns.
 func Fig12(ctx context.Context) (*Fig12Result, error) {
 	configs := []design.Config{
 		design.HeavyWTConfig(),
@@ -346,17 +356,16 @@ func Fig12(ctx context.Context) (*Fig12Result, error) {
 		design.SyncOptiQ64Config(),
 		design.SyncOptiConfig(),
 	}
-	prod, err := breakdownFigure(ctx,
-		"Figure 12 (producer): effect of streaming cache and queue size", configs, 0)
+	grid, err := runMatrix(ctx, configs)
 	if err != nil {
 		return nil, err
 	}
-	cons, err := breakdownFigure(ctx,
-		"Figure 12 (consumer): effect of streaming cache and queue size", configs, 1)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig12Result{Producer: prod, Consumer: cons}, nil
+	return &Fig12Result{
+		Producer: breakdownFromGrid(grid,
+			"Figure 12 (producer): effect of streaming cache and queue size", configs, 0),
+		Consumer: breakdownFromGrid(grid,
+			"Figure 12 (consumer): effect of streaming cache and queue size", configs, 1),
+	}, nil
 }
 
 // Table renders both halves of Figure 12.

@@ -103,8 +103,9 @@ func Run(ctx context.Context, b *workloads.Benchmark, j Job, opts RunOpts) (*sim
 	return res, nil
 }
 
-// programs builds the job's thread programs (before lowering), the
-// partition's queue routes, and the label run errors carry.
+// programs returns the job's thread programs (before lowering), the
+// partition's queue routes, and the label run errors carry. The programs
+// come from the benchmark's partition memo and are shared read-only.
 func programs(b *workloads.Benchmark, j Job) ([]*isa.Program, []dswp.QueueRoute, string, error) {
 	cfg := j.Config
 	var pr *dswp.Result
@@ -121,7 +122,7 @@ func programs(b *workloads.Benchmark, j Job) ([]*isa.Program, []dswp.QueueRoute,
 		if b.Loop == nil {
 			return nil, nil, "", fmt.Errorf("exp: %s is hand-partitioned; parallel-stage runs need an IR kernel", b.Name)
 		}
-		pr, err = dswp.PartitionParallel(b.Loop, cfg.Cores-1)
+		pr, err = b.PartitionParallel(cfg.Cores - 1)
 		label = fmt.Sprintf("%s/%d-worker", cfg.Name(), cfg.Cores-1)
 	case j.Stages == 0 && cfg.Cores < 3:
 		threads, _, err := b.Pipelined()
@@ -134,7 +135,7 @@ func programs(b *workloads.Benchmark, j Job) ([]*isa.Program, []dswp.QueueRoute,
 		if b.Loop == nil {
 			return nil, nil, "", fmt.Errorf("exp: %s is hand-partitioned; staged runs need an IR kernel", b.Name)
 		}
-		pr, err = dswp.PartitionN(b.Loop, n)
+		pr, err = b.PartitionN(n)
 		label = fmt.Sprintf("%s/%d-stage", cfg.Name(), n)
 	}
 	if err != nil {

@@ -17,8 +17,9 @@ import (
 // The runner fans independent (benchmark, design, variant) simulations
 // across a goroutine pool. Every figure/table of the evaluation is a grid
 // of independent jobs — workers share the registry's read-only benchmarks
-// and each builds its own programs and memory image — so regeneration
-// scales with cores while results stay in deterministic input order.
+// and their memoized partitions, and each builds its own memory image
+// and lowered programs — so regeneration scales with cores while results
+// stay in deterministic input order.
 
 // Job is one simulation: a benchmark run on a design point, or (with
 // Single) the single-threaded baseline on the EXISTING machine. Run
@@ -143,7 +144,8 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []JobResult {
 }
 
 // runJob executes one job on its benchmark's shared registry instance;
-// Run only reads the benchmark, deriving per-job programs and image.
+// Run only reads the benchmark and its memoized programs, deriving a
+// per-job image.
 func runJob(ctx context.Context, j Job) (*sim.Result, error) {
 	b, err := workloads.ByName(j.Bench)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hfstream/internal/design"
-	"hfstream/internal/dswp"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
 )
@@ -127,11 +126,13 @@ func scalingSupported(b *workloads.Benchmark, cfg design.Config, cores int) bool
 	if b.Loop == nil {
 		return false // hand-partitioned kernels are dual-core only
 	}
+	// The probe goes through the benchmark's partition memo, so the run
+	// it guards reuses this partition.
 	if cfg.Parallel {
-		_, err := dswp.PartitionParallel(b.Loop, cores-1)
+		_, err := b.PartitionParallel(cores - 1)
 		return err == nil
 	}
-	_, err := dswp.PartitionN(b.Loop, cores)
+	_, err := b.PartitionN(cores)
 	return err == nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hfstream/internal/design"
-	"hfstream/internal/dswp"
 	"hfstream/internal/stats"
 	"hfstream/internal/workloads"
 )
@@ -44,7 +43,7 @@ func AblationStages() (*StagesResult, error) {
 		for d := 0; d < 3; d++ {
 			j := Job{Bench: b.Name, Single: true}
 			if d > 0 {
-				if _, err := dswp.PartitionN(b.Loop, d+1); err != nil {
+				if _, err := b.PartitionN(d + 1); err != nil {
 					continue // structurally unsupported
 				}
 				j = Job{Bench: b.Name, Config: heavy, Stages: d + 1}

@@ -11,6 +11,15 @@
 // equivalents documented in DESIGN.md. Eight are partitioned by the
 // package dswp implementation; bzip2's nested loop is hand-partitioned
 // (as the paper's StreamIt codes were).
+//
+// Partitioning is deterministic, so each Benchmark memoizes what it
+// derives from its kernel: Single, PartitionN and PartitionParallel (and
+// Pipelined, which is PartitionN(2)) run the partitioner once per shape
+// per process, on first use, and hand every later caller the same
+// *isa.Program or *dswp.Result, or the same error. Those shared results
+// are read-only like the Benchmark itself: lower, interp and sim derive
+// new programs and images from them and never write a Result, its
+// Threads, Routes or Assignment, or a program's instructions.
 package workloads
 
 import (
@@ -50,6 +59,28 @@ type Benchmark struct {
 
 	setup func(img *mem.Memory)
 	hand  *handPartition
+
+	// single and parts memoize Single and the partitions (see the
+	// package comment); parts maps a partKey to its *partEntry.
+	single partEntry
+	parts  sync.Map
+}
+
+// partKey names one partition shape: an n-stage chain, or a
+// parallel-stage partition with n workers.
+type partKey struct {
+	parallel bool
+	n        int
+}
+
+// partEntry is one memoized derivation, computed under once. A failed
+// derivation is cached too: the kernel's structure decides it, so a
+// retry would fail the same way.
+type partEntry struct {
+	once sync.Once
+	res  *dswp.Result
+	prog *isa.Program
+	err  error
 }
 
 // handPartition carries pre-built thread programs for kernels the IR
@@ -73,7 +104,7 @@ func (b *Benchmark) Pipelined() ([2]*isa.Program, int, error) {
 	if b.hand != nil {
 		return b.hand.threads, b.hand.queues, nil
 	}
-	res, err := dswp.Partition(b.Loop)
+	res, err := b.PartitionN(2)
 	if err != nil {
 		return [2]*isa.Program{}, 0, fmt.Errorf("workloads: %s: %w", b.Name, err)
 	}
@@ -81,16 +112,52 @@ func (b *Benchmark) Pipelined() ([2]*isa.Program, int, error) {
 }
 
 // Single returns the single-threaded version of the kernel (the Figure 9
-// baseline).
+// baseline), memoized.
 func (b *Benchmark) Single() (*isa.Program, error) {
 	if b.hand != nil {
 		return b.hand.single, nil
 	}
-	p, err := dswp.Single(b.Loop)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", b.Name, err)
+	e := &b.single
+	e.once.Do(func() {
+		e.prog, e.err = dswp.Single(b.Loop)
+		if e.err != nil {
+			e.err = fmt.Errorf("workloads: %s: %w", b.Name, e.err)
+		}
+	})
+	return e.prog, e.err
+}
+
+// PartitionN returns the kernel's n-stage DSWP partition, memoized: the
+// result, or the error, of dswp.PartitionN(b.Loop, n).
+func (b *Benchmark) PartitionN(n int) (*dswp.Result, error) {
+	return b.partition(partKey{n: n}, dswp.PartitionN)
+}
+
+// PartitionParallel returns the kernel's parallel-stage partition with
+// the given worker count, memoized: the result, or the error, of
+// dswp.PartitionParallel(b.Loop, workers).
+func (b *Benchmark) PartitionParallel(workers int) (*dswp.Result, error) {
+	return b.partition(partKey{parallel: true, n: workers}, dswp.PartitionParallel)
+}
+
+func (b *Benchmark) partition(k partKey, part func(*ir.Loop, int) (*dswp.Result, error)) (*dswp.Result, error) {
+	if b.Loop == nil {
+		return nil, fmt.Errorf("workloads: %s is hand-partitioned and has no IR kernel to partition", b.Name)
 	}
-	return p, nil
+	// A shape needs at least two threads and at most one node per
+	// thread to be worth keeping; others are derived afresh (chains that
+	// wide fail at once). A Spec's stage count comes from outside the
+	// program, and this keeps the memo bounded by the kernel's size.
+	if k.n < 2 || k.n > len(b.Loop.Body) {
+		return part(b.Loop, k.n)
+	}
+	v, ok := b.parts.Load(k)
+	if !ok {
+		v, _ = b.parts.LoadOrStore(k, &partEntry{})
+	}
+	e := v.(*partEntry)
+	e.once.Do(func() { e.res, e.err = part(b.Loop, k.n) })
+	return e.res, e.err
 }
 
 // ByName returns the named benchmark or an error listing valid names.
@@ -117,10 +184,14 @@ func All() []*Benchmark { return slices.Clone(registry()) }
 // registry builds the nine benchmarks once per process. A Benchmark is
 // read-only after construction, so one instance serves every caller and
 // goroutine: nothing writes its fields, its Loop or its hand-built
-// programs; dswp, lower and interp derive new programs from them; and
-// each setup closure seeds its own generator, writing only the image it
-// is given.
-var registry = sync.OnceValue(func() []*Benchmark {
+// programs; dswp, lower and interp derive new programs from them; each
+// setup closure seeds its own generator, writing only the image it is
+// given; and the partition memo fills lazily, each entry under its own
+// sync.Once. Building the registry partitions nothing.
+var registry = sync.OnceValue(buildAll)
+
+// buildAll builds a new instance of each benchmark, in figure order.
+func buildAll() []*Benchmark {
 	return []*Benchmark{
 		buildArt(),
 		buildEquake(),
@@ -132,7 +203,7 @@ var registry = sync.OnceValue(func() []*Benchmark {
 		buildFir(),
 		buildFft2(),
 	}
-})
+}
 
 // rng is a small deterministic xorshift64* generator so workload data is
 // reproducible across runs and platforms.

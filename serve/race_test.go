@@ -179,15 +179,22 @@ func TestRaceDrainMidFlight(t *testing.T) {
 }
 
 // TestRaceQueueGaugesStayInBounds saturates a 1-worker, depth-2 server
-// with short distinct jobs while polling /metrics and /healthz. Every
-// read must report 0 <= in_flight <= workers and queued <= queue_depth:
-// the gauges come from one pool snapshot, so a task pickup between two
+// with distinct jobs while polling /metrics and /healthz. Every read
+// must report 0 <= in_flight <= workers and queued <= queue_depth: the
+// gauges come from one pool snapshot, so a task pickup between two
 // separate reads can no longer over-report in_flight.
 func TestRaceQueueGaugesStayInBounds(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 2})
+	// Runs block on gate until the polling is done, so the one worker
+	// stays busy and the queue stays full however the scheduler
+	// interleaves the clients: the fourth client's requests shed.
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	var startOnce sync.Once
 	s.run = func(ctx context.Context, spec hfstream.Spec, hooks *streamHooks) *outcome {
 		s.runs.Add(1)
-		time.Sleep(20 * time.Microsecond)
+		startOnce.Do(func() { close(started) })
+		<-gate
 		return &outcome{status: 200, body: []byte("{}\n"), source: "miss", ok: true}
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -231,8 +238,14 @@ func TestRaceQueueGaugesStayInBounds(t *testing.T) {
 	}
 	defer func() {
 		close(stop)
+		close(gate)
 		wg.Wait()
 	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no run started within 10s")
+	}
 	for i := 0; i < 300; i++ {
 		var m Metrics
 		getJSON("/metrics", &m)
